@@ -881,13 +881,13 @@ let perf_triage () =
     (sum (fun (_, t, _) -> T.count `Refuted t))
 
 (* ------------------------------------------------------------------ *)
-(* Abl-1: happens-before query strategy (§5.2.1)                       *)
+(* Abl-1: happens-before queries, closure vs the paper's DFS (§5.2.1)   *)
 (* ------------------------------------------------------------------ *)
 
-let build_layered_graph ~strategy ~n =
+let build_layered_graph ~n =
   (* A layered DAG approximating a page's op structure: each op has edges
      from up to two earlier ops. *)
-  let g = Graph.create ~strategy () in
+  let g = Graph.create () in
   let rng = Wr_support.Rng.of_int 99 in
   for i = 0 to n - 1 do
     let id = Graph.fresh g Op.Script ~label:(string_of_int i) in
@@ -904,54 +904,28 @@ let ablation_hb () =
   let tests =
     List.concat_map
       (fun n ->
-        let dfs = build_layered_graph ~strategy:Graph.Dfs ~n in
-        let closure = build_layered_graph ~strategy:Graph.Closure ~n in
-        let chain_vc = build_layered_graph ~strategy:Graph.Chain_vc ~n in
+        let g = build_layered_graph ~n in
         let rng = Wr_support.Rng.of_int 5 in
         let queries =
           Array.init 64 (fun _ -> (Wr_support.Rng.int rng n, Wr_support.Rng.int rng n))
         in
-        let query g () = Array.iter (fun (a, b) -> ignore (Graph.chc g a b)) queries in
+        (* The same CHC test, asked of the closure and of the traversal. *)
+        let query hb () =
+          Array.iter
+            (fun (a, b) -> ignore (a <> b && (not (hb g a b)) && not (hb g b a)))
+            queries
+        in
         [
-          Test.make ~name:(Printf.sprintf "chc/dfs/%d-ops" n) (Staged.stage (query dfs));
+          Test.make
+            ~name:(Printf.sprintf "chc/dfs/%d-ops" n)
+            (Staged.stage (query Graph.happens_before_dfs));
           Test.make
             ~name:(Printf.sprintf "chc/closure/%d-ops" n)
-            (Staged.stage (query closure));
-          Test.make
-            ~name:(Printf.sprintf "chc/chain-vc/%d-ops" n)
-            (Staged.stage (query chain_vc));
+            (Staged.stage (query Graph.happens_before));
         ])
       sizes
   in
-  print_bench_results (run_bench_group ~name:"abl1" tests);
-  print_newline ();
-  (* End-to-end: analyzing a heavyweight corpus site under both. *)
-  let ford =
-    List.find (fun (p : Profile.t) -> p.Profile.name = "Ford") (Profile.corpus ())
-  in
-  let site = Gen.generate ford in
-  let run strategy () =
-    ignore
-      (Webracer.analyze
-         (Webracer.config ~page:site.Gen.page ~resources:site.Gen.resources ~seed:3
-            ~hb_strategy:strategy ()))
-  in
-  let tests =
-    [
-      Test.make ~name:"analyze-ford/dfs" (Staged.stage (run Graph.Dfs));
-      Test.make ~name:"analyze-ford/closure" (Staged.stage (run Graph.Closure));
-      Test.make ~name:"analyze-ford/chain-vc" (Staged.stage (run Graph.Chain_vc));
-    ]
-  in
-  print_bench_results (run_bench_group ~name:"abl1-e2e" tests);
-  (* How compact are the chain-VC clocks on a real page? *)
-  let b = Wr_browser.Browser.create { (Webracer.config ~page:site.Gen.page ~resources:site.Gen.resources ~seed:3 ~hb_strategy:Graph.Chain_vc ()) with Wr_browser.Config.explore = false } in
-  Wr_browser.Browser.start b;
-  ignore (Wr_browser.Browser.run b);
-  let g = Wr_browser.Browser.graph b in
-  Printf.printf "\n(chain-vc decomposes the Ford page's %d operations into %d chains;\n\
-                \ each clock is at most %d entries vs %d bits per closure bitset)\n"
-    (Graph.n_ops g) (Graph.n_chains g) (Graph.n_chains g) (Graph.n_ops g)
+  print_bench_results (run_bench_group ~name:"abl1" tests)
 
 (* ------------------------------------------------------------------ *)
 (* Abl-2: single-slot vs full-history detector (§5.1 limitation)       *)

@@ -66,18 +66,6 @@ let log_out_arg =
 
 (* --- run -------------------------------------------------------------- *)
 
-let detector_conv =
-  Arg.enum
-    [
-      ("last-access", Webracer.Config.Last_access);
-      ("full-track", Webracer.Config.Full_track);
-    ]
-
-let hb_conv =
-  Arg.enum
-    [ ("closure", Wr_hb.Graph.Closure); ("dfs", Wr_hb.Graph.Dfs);
-      ("chain-vc", Wr_hb.Graph.Chain_vc) ]
-
 let run_cmd =
   let page =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"PAGE" ~doc:"HTML page to analyze.")
@@ -96,17 +84,6 @@ let run_cmd =
       & info [ "raw" ] ~doc:"Report unfiltered races instead of applying the §5.3 filters.")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the full report as JSON.") in
-  let detector =
-    Arg.(
-      value
-      & opt detector_conv Webracer.Config.Last_access
-      & info [ "detector" ] ~doc:"Race detector: $(b,last-access) (paper) or $(b,full-track).")
-  in
-  let hb =
-    Arg.(
-      value & opt hb_conv Wr_hb.Graph.Closure
-      & info [ "hb" ] ~doc:"Happens-before queries: $(b,closure), $(b,chain-vc) or $(b,dfs) (paper).")
-  in
   let time_limit =
     Arg.(
       value & opt float 60_000.
@@ -146,14 +123,13 @@ let run_cmd =
           ~doc:"Disable the per-operation access-dedup front-end, feeding the detector \
                 every raw access (slower; race results are identical either way).")
   in
-  let action page seed no_explore raw json detector hb time_limit dump_hb dump_trace
-      trace_out metrics no_dedup log_out =
+  let action page seed no_explore raw json time_limit dump_hb dump_trace trace_out metrics
+      no_dedup log_out =
     setup_event_log log_out;
     let tm = if trace_out <> None || metrics then Telemetry.create () else Telemetry.disabled in
     let params =
       Request.analyze_params ~page:(read_file page) ~resources:(resources_around page)
-        ~seed ~explore:(not no_explore) ~detector ~hb ~time_limit
-        ~dedup:(not no_dedup) ()
+        ~seed ~explore:(not no_explore) ~time_limit ~dedup:(not no_dedup) ()
     in
     let report = Api.analyze ~trace:(dump_trace <> None) ~telemetry:tm params in
     (match trace_out with
@@ -173,7 +149,17 @@ let run_cmd =
         in
         write_file file (Wr_hb.Graph.to_dot ~highlight report.Webracer.hb_graph)
     | None -> ());
-    if json then print_endline (Wr_support.Json.to_string (Webracer.report_to_json report))
+    if json then begin
+      (* The metrics summary is read once, after the run, and appended
+         under "telemetry". *)
+      let doc =
+        match Webracer.report_to_json report with
+        | Wr_support.Json.Obj fields when Telemetry.enabled tm ->
+            Wr_support.Json.Obj (fields @ [ ("telemetry", Telemetry.metrics_json tm) ])
+        | doc -> doc
+      in
+      print_endline (Wr_support.Json.to_string doc)
+    end
     else begin
       let races = if raw then report.Webracer.races else report.Webracer.filtered in
       Format.printf "%a@.@." Webracer.pp_report report;
@@ -209,8 +195,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
-      const action $ page $ seed $ explore $ raw $ json $ detector $ hb $ time_limit
-      $ dump_hb $ dump_trace $ trace_out $ metrics $ no_dedup $ log_out_arg)
+      const action $ page $ seed $ explore $ raw $ json $ time_limit $ dump_hb $ dump_trace
+      $ trace_out $ metrics $ no_dedup $ log_out_arg)
 
 (* --- batch -------------------------------------------------------------- *)
 
@@ -803,32 +789,15 @@ let offline_cmd =
       required & pos 0 (some file) None
       & info [] ~docv:"TRACE" ~doc:"Trace recorded with $(b,webracer run --dump-trace).")
   in
-  let detector =
-    Arg.(
-      value
-      & opt detector_conv Webracer.Config.Last_access
-      & info [ "detector" ] ~doc:"Detector to replay the trace through.")
-  in
-  let hb =
-    Arg.(
-      value & opt hb_conv Wr_hb.Graph.Closure
-      & info [ "hb" ] ~doc:"Happens-before strategy for the replayed graph.")
-  in
   let atomicity =
     Arg.(
       value & flag
       & info [ "atomicity" ]
           ~doc:"Also run the atomicity-violation checker (unserializable interleavings).")
   in
-  let action trace_file detector hb atomicity =
+  let action trace_file atomicity =
     let trace = Wr_detect.Trace.load trace_file in
-    let mk g =
-      match detector with
-      | Webracer.Config.Last_access -> Wr_detect.Last_access.create g
-      | Webracer.Config.Full_track -> Wr_detect.Full_track.create g
-      | Webracer.Config.No_detector -> Wr_detect.Detector.null
-    in
-    let races = Wr_detect.Trace.replay ~strategy:hb trace ~detector:mk in
+    let races = Wr_detect.Trace.replay trace ~detector:Wr_detect.Last_access.create in
     Printf.printf "trace: %d ops, %d edges, %d accesses\n"
       (List.length trace.Wr_detect.Trace.ops)
       (List.length trace.Wr_detect.Trace.edges)
@@ -845,8 +814,11 @@ let offline_cmd =
         violations
     end
   in
-  let doc = "Replay a recorded trace through a detector (and optionally the atomicity checker)." in
-  Cmd.v (Cmd.info "offline" ~doc) Term.(const action $ trace_file $ detector $ hb $ atomicity)
+  let doc =
+    "Replay a recorded trace through the race detector (and optionally the atomicity \
+     checker)."
+  in
+  Cmd.v (Cmd.info "offline" ~doc) Term.(const action $ trace_file $ atomicity)
 
 (* --- replay ------------------------------------------------------------ *)
 
@@ -1265,17 +1237,6 @@ let call_cmd =
   let no_dedup =
     Arg.(value & flag & info [ "no-dedup" ] ~doc:"Disable the access-dedup front-end.")
   in
-  let detector =
-    Arg.(
-      value
-      & opt detector_conv Webracer.Config.Last_access
-      & info [ "detector" ] ~doc:"Race detector: $(b,last-access) or $(b,full-track).")
-  in
-  let hb =
-    Arg.(
-      value & opt hb_conv Wr_hb.Graph.Closure
-      & info [ "hb" ] ~doc:"Happens-before queries: $(b,closure), $(b,chain-vc) or $(b,dfs).")
-  in
   let time_limit =
     Arg.(
       value & opt float 60_000.
@@ -1364,9 +1325,9 @@ let call_cmd =
           ~doc:"Print each response's trace id on stderr (minting a client-side \
                 trace id when $(b,--trace-id) is not given).")
   in
-  let action verb page address repeat seed no_explore no_dedup detector hb time_limit
-      race_n compare lint schedules parse_delay budget jobs watch_interval
-      watch_count connect_timeout http schema trace_id verbose =
+  let action verb page address repeat seed no_explore no_dedup time_limit race_n compare
+      lint schedules parse_delay budget jobs watch_interval watch_count connect_timeout http
+      schema trace_id verbose =
     if not (Wr_support.Schema.is_supported schema) then begin
       Printf.eprintf "call: unsupported --schema %d (this client speaks %s)\n"
         schema (Wr_support.Schema.supported_names ());
@@ -1387,8 +1348,7 @@ let call_cmd =
       match page with
       | Some p ->
           Request.analyze_params ~page:(read_file p) ~resources:(resources_around p)
-            ~seed ~explore:(not no_explore) ~detector ~hb ~time_limit
-            ~dedup:(not no_dedup) ()
+            ~seed ~explore:(not no_explore) ~time_limit ~dedup:(not no_dedup) ()
       | None ->
           prerr_endline "call: this verb needs a PAGE argument";
           exit 1
@@ -1514,7 +1474,7 @@ let call_cmd =
     (Cmd.info "call" ~doc)
     Term.(
       const action $ verb $ page $ address_term $ repeat $ seed $ no_explore $ no_dedup
-      $ detector $ hb $ time_limit $ race_n $ compare $ lint $ schedules $ parse_delay
+      $ time_limit $ race_n $ compare $ lint $ schedules $ parse_delay
       $ budget $ jobs $ watch_interval $ watch_count $ connect_timeout $ http $ schema
       $ trace_id $ verbose)
 

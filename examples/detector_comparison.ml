@@ -5,18 +5,16 @@
    observed schedule 3 . 1 . 2, the 2-3 race is missed: when 2 executes,
    the slot only remembers read 1.
 
-   This example builds that schedule with real page machinery — two timer
-   callbacks and an inline script — and runs both detectors over the same
-   page. The full-track extension pays memory for complete recall.
+   This example builds that schedule with real page machinery — timer
+   callbacks — records one run as a trace, and replays the trace through
+   both detectors. The full-track reference detector pays memory for
+   complete recall.
 
    Run with: dune exec examples/detector_comparison.exe *)
 
-(* op 3 = the early timer callback (reads e at ~5ms)
-   op 1 = the inline script's read of e... but reads from the parse chain
-   are ordered with everything that follows them, so instead we stage the
-   paper's abstract example exactly: three timer callbacks where the
-   first two run back-to-back from one scheduling site (giving 1 -> 2 via
-   nesting) and the third fires first. *)
+(* The paper's abstract example staged with timers: op 1 reads e and
+   schedules op 2 (so op 1 happens-before op 2), which writes e; op 3 reads
+   e and fires first. *)
 let page =
   {|<script>
 var e = 0;
@@ -29,22 +27,25 @@ setTimeout(function () {
 }, 10);
 </script>|}
 
-let run detector =
-  let report = Webracer.analyze (Webracer.config ~page ~seed:1 ~explore:false ~detector ()) in
+let races_on_e trace detector =
   List.filter
     (fun (r : Wr_detect.Race.t) ->
       match r.Wr_detect.Race.loc with
       | Wr_mem.Location.Js_var { name = "e"; _ } -> true
       | _ -> false)
-    report.Webracer.races
+    (Wr_detect.Trace.replay trace ~detector)
 
 let () =
-  let last_access = run Webracer.Config.Last_access in
-  let full_track = run Webracer.Config.Full_track in
+  let report =
+    Webracer.analyze (Webracer.config ~page ~seed:1 ~explore:false ~trace:true ())
+  in
+  let trace = Option.get report.Webracer.trace in
+  let last_access = races_on_e trace Wr_detect.Last_access.create in
+  let full_track = races_on_e trace Wr_detect.Full_track.create in
   Format.printf "schedule: read(op3) . read(op1) . write(op2), with op1 -> op2@.@.";
   Format.printf "last-access detector (paper §5.1): %d race(s) on e@."
     (List.length last_access);
-  Format.printf "full-track detector (extension):   %d race(s) on e@.@."
+  Format.printf "full-track detector (reference):   %d race(s) on e@.@."
     (List.length full_track);
   List.iter (fun r -> Format.printf "%a@.@." Wr_detect.Race.pp r) full_track;
   if last_access = [] && full_track <> [] then

@@ -1556,18 +1556,13 @@ let create (config : Config.t) =
     Network.create ~loop ~rng:(Wr_support.Rng.split rng) ~resolve
       ~mean_latency:config.Config.mean_latency ~tm ()
   in
-  let graph = Graph.create ~strategy:config.Config.hb_strategy () in
-  let det =
-    match config.Config.detector with
-    | Config.Last_access -> Wr_detect.Last_access.create graph
-    | Config.Full_track -> Wr_detect.Full_track.create graph
-    | Config.No_detector -> Detector.null
-  in
+  let graph = Graph.create () in
+  let det = Wr_detect.Last_access.create graph in
   (* Wrapper order matters: the dedup cache sits closest to the detector so
      the trace recorder still captures the raw access stream (offline replay
      must see what the page did, not what the cache forwarded). *)
   let det, dedup_stats =
-    if config.Config.dedup && config.Config.detector <> Config.No_detector then
+    if config.Config.dedup then
       let det, stats = Wr_detect.Dedup.wrap det in
       (det, Some stats)
     else (det, None)

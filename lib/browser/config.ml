@@ -1,12 +1,8 @@
-type detector_kind = Last_access | Full_track | No_detector
-
 type t = {
   seed : int;
   page : string;
   resources : (string * string) list;
   time_limit : float;
-  detector : detector_kind;
-  hb_strategy : Wr_hb.Graph.strategy;
   fuel : int;
   mean_latency : float;
   parse_delay : float;
@@ -23,8 +19,6 @@ let default ~page () =
     page;
     resources = [];
     time_limit = 60_000.;
-    detector = Last_access;
-    hb_strategy = Wr_hb.Graph.Closure;
     fuel = 5_000_000;
     mean_latency = 20.;
     parse_delay = 0.;

@@ -1,7 +1,5 @@
 (** Browser run configuration. *)
 
-type detector_kind = Last_access | Full_track | No_detector
-
 type t = {
   seed : int;  (** drives network latencies and [Math.random] *)
   page : string;  (** HTML of the main page *)
@@ -9,8 +7,6 @@ type t = {
   time_limit : float;
       (** virtual-ms horizon; bounds pages with unbounded [setInterval]
           chains *)
-  detector : detector_kind;
-  hb_strategy : Wr_hb.Graph.strategy;
   fuel : int;  (** evaluation-step budget per operation *)
   mean_latency : float;  (** mean simulated fetch latency (ms) *)
   parse_delay : float;
@@ -36,5 +32,6 @@ type t = {
 }
 
 (** [default ~page ()] — seed 0, no extra resources, 60 s virtual horizon,
-    the paper's detector, closure reachability, exploration on. *)
+    exploration on. Every run uses the paper's detector
+    ([Wr_detect.Last_access]). *)
 val default : page:string -> unit -> t

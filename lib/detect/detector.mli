@@ -2,7 +2,8 @@
 
     The paper notes its framework "allows us to plug in any dynamic race
     detector" (§5.2); this record is that plug point. {!Last_access} is the
-    paper's detector, {!Full_track} the ablation variant, [null] the
+    paper's detector and the one every run uses, {!Full_track} the
+    full-history reference for trace replay and tests, [null] the
     uninstrumented baseline for overhead measurements. *)
 
 type t = {

@@ -42,8 +42,8 @@ let recorder (inner : Detector.t) =
   in
   (d, fun () -> List.rev !log)
 
-let rebuild_graph ?(strategy = Graph.Closure) t =
-  let g = Graph.create ~strategy () in
+let rebuild_graph t =
+  let g = Graph.create () in
   List.iter
     (fun { op_id; kind; label } ->
       let id = Graph.fresh g Op.Script ~label:(Printf.sprintf "%s: %s" kind label) in
@@ -52,8 +52,8 @@ let rebuild_graph ?(strategy = Graph.Closure) t =
   List.iter (fun (a, b) -> Graph.add_edge g a b) t.edges;
   g
 
-let replay ?strategy t ~detector =
-  let g = rebuild_graph ?strategy t in
+let replay t ~detector =
+  let g = rebuild_graph t in
   let d = detector g in
   List.iter d.Detector.record t.accesses;
   d.Detector.races ()

@@ -27,18 +27,14 @@ val capture : Wr_hb.Graph.t -> accesses:Wr_mem.Access.t list -> t
     forwarded; [read ()] returns the accesses seen so far in order. *)
 val recorder : Detector.t -> Detector.t * (unit -> Wr_mem.Access.t list)
 
-(** [rebuild_graph ?strategy trace] reconstructs the happens-before graph
-    (ids match the trace's). *)
-val rebuild_graph : ?strategy:Wr_hb.Graph.strategy -> t -> Wr_hb.Graph.t
+(** [rebuild_graph trace] reconstructs the happens-before graph (ids
+    match the trace's). *)
+val rebuild_graph : t -> Wr_hb.Graph.t
 
-(** [replay ?strategy trace ~detector] rebuilds the graph, feeds the access
+(** [replay trace ~detector] rebuilds the graph, feeds the access
     stream to a fresh detector made by [detector], and returns its
     reports. *)
-val replay :
-  ?strategy:Wr_hb.Graph.strategy ->
-  t ->
-  detector:(Wr_hb.Graph.t -> Detector.t) ->
-  Race.t list
+val replay : t -> detector:(Wr_hb.Graph.t -> Detector.t) -> Race.t list
 
 (** JSON round trip ({!of_json} raises [Wr_support.Json.Parse_error] on
     malformed documents). *)

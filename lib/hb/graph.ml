@@ -1,65 +1,41 @@
-type strategy = Dfs | Closure | Chain_vc
-
 type node = {
   info : Op.info;
   mutable preds : Op.id list;
   mutable succs : Op.id list;
   mutable last_succ : Op.id;  (* most recently added successor; -1 if none *)
-  ancestors : Wr_support.Bitset.t option;  (* Some iff strategy = Closure *)
-  mutable vc : int array;  (* Chain_vc: chain -> highest reaching index + 1 *)
-  mutable chain : int;  (* Chain_vc: -1 while unassigned *)
-  mutable chain_idx : int;
+  ancestors : Wr_support.Bitset.t;  (* every op that happens-before this one *)
 }
 
 type t = {
-  strategy : strategy;
   mutable nodes : node array;  (* dense array indexed by op id *)
   mutable count : int;
   mutable edges : int;
   edge_set : (Op.id * Op.id, unit) Hashtbl.t;  (* O(1) duplicate-edge check *)
-  mutable chain_tops : Op.id array;  (* Chain_vc: last op of each chain *)
-  mutable chain_count : int;
 }
 
-let create ?(strategy = Closure) () =
-  {
-    strategy;
-    nodes = [||];
-    count = 0;
-    edges = 0;
-    edge_set = Hashtbl.create 1024;
-    chain_tops = Array.make 16 (-1);
-    chain_count = 0;
-  }
-
-let strategy t = t.strategy
+let create () = { nodes = [||]; count = 0; edges = 0; edge_set = Hashtbl.create 1024 }
 
 let node t id =
   if id < 0 || id >= t.count then
     invalid_arg (Printf.sprintf "Hb.Graph: unknown operation id %d" id);
   t.nodes.(id)
 
+(* Fills the unused tail of [nodes]; never read, since ids are checked
+   against [count]. *)
+let padding =
+  { info = { Op.id = -1; kind = Op.Initial; label = "" }; preds = []; succs = [];
+    last_succ = -1; ancestors = Wr_support.Bitset.create 0 }
+
 let fresh t kind ~label =
   let id = t.count in
   if id >= Array.length t.nodes then begin
-    let capacity = max 64 (Array.length t.nodes * 2) in
-    let dummy =
-      { info = { Op.id = -1; kind = Op.Initial; label = "" };
-        preds = []; succs = []; last_succ = -1; ancestors = None; vc = [||]; chain = -1;
-        chain_idx = 0 }
-    in
-    let nodes = Array.make capacity dummy in
+    let nodes = Array.make (max 64 (Array.length t.nodes * 2)) padding in
     Array.blit t.nodes 0 nodes 0 t.count;
     t.nodes <- nodes
   end;
-  let ancestors =
-    match t.strategy with
-    | Closure -> Some (Wr_support.Bitset.create 64)
-    | Dfs | Chain_vc -> None
-  in
   t.nodes.(id) <-
-    { info = { Op.id; kind; label }; preds = []; succs = []; last_succ = -1; ancestors;
-      vc = [||]; chain = -1; chain_idx = 0 };
+    { info = { Op.id; kind; label }; preds = []; succs = []; last_succ = -1;
+      ancestors = Wr_support.Bitset.create 64 };
   t.count <- id + 1;
   id
 
@@ -69,76 +45,17 @@ let n_ops t = t.count
 
 let n_edges t = t.edges
 
-(* --- Closure strategy --------------------------------------------------- *)
-
 (* Closure invariant: if [a] is in ancestors[n] then ancestors[a] is a
    subset of ancestors[n]. [propagate] restores it along successors after a
    new edge lands on a node that already has successors. *)
 let rec propagate t a anc_a n =
   let node_n = t.nodes.(n) in
-  match node_n.ancestors with
-  | None -> ()
-  | Some anc_n ->
-      if not (Wr_support.Bitset.mem anc_n a) then begin
-        Wr_support.Bitset.union_into ~into:anc_n anc_a;
-        Wr_support.Bitset.add anc_n a;
-        List.iter (propagate t a anc_a) node_n.succs
-      end
-
-(* --- Chain-VC strategy ---------------------------------------------------
-
-   The "more efficient vector-clock representation" the paper leaves to
-   future work (§5.2.1), realized via online chain decomposition: every
-   operation joins the chain of one of its predecessors when that
-   predecessor is still the chain's last element, else starts a new chain.
-   An operation's clock maps each chain to the highest position on it that
-   happens-before the operation, so a reachability query is one array
-   lookup. Event-driven pages decompose into few chains (the parse chain,
-   one per timer/fetch chain), keeping clocks short. *)
-
-let ensure_chain t x =
-  let nx = t.nodes.(x) in
-  if nx.chain = -1 then begin
-    if t.chain_count = Array.length t.chain_tops then begin
-      let tops = Array.make (2 * t.chain_count) (-1) in
-      Array.blit t.chain_tops 0 tops 0 t.chain_count;
-      t.chain_tops <- tops
-    end;
-    nx.chain <- t.chain_count;
-    nx.chain_idx <- 0;
-    t.chain_tops.(t.chain_count) <- x;
-    t.chain_count <- t.chain_count + 1
+  let anc_n = node_n.ancestors in
+  if not (Wr_support.Bitset.mem anc_n a) then begin
+    Wr_support.Bitset.union_into ~into:anc_n anc_a;
+    Wr_support.Bitset.add anc_n a;
+    List.iter (propagate t a anc_a) node_n.succs
   end
-
-(* Pointwise max of [src] plus the single entry (chain, bound) into
-   [dst.vc]; returns true when anything grew. *)
-let merge_vc dst src ~chain ~bound =
-  let needed = max (Array.length src) (chain + 1) in
-  if Array.length dst.vc < needed then begin
-    let vc = Array.make needed 0 in
-    Array.blit dst.vc 0 vc 0 (Array.length dst.vc);
-    dst.vc <- vc
-  end;
-  let changed = ref false in
-  Array.iteri
-    (fun i v ->
-      if v > dst.vc.(i) then begin
-        dst.vc.(i) <- v;
-        changed := true
-      end)
-    src;
-  if chain >= 0 && bound > dst.vc.(chain) then begin
-    dst.vc.(chain) <- bound;
-    changed := true
-  end;
-  !changed
-
-let rec vc_propagate t src ~chain ~bound n =
-  let nn = t.nodes.(n) in
-  if merge_vc nn src ~chain ~bound then
-    List.iter (vc_propagate t nn.vc ~chain:(-1) ~bound:0) nn.succs
-
-(* --- Edge insertion ------------------------------------------------------ *)
 
 let add_edge t a b =
   if a >= b then
@@ -158,56 +75,36 @@ let add_edge t a b =
     na.succs <- b :: na.succs;
     nb.preds <- a :: nb.preds;
     t.edges <- t.edges + 1;
-    match t.strategy with
-    | Dfs -> ()
-    | Closure -> (
-        match na.ancestors with
-        | Some anc_a -> propagate t a anc_a b
-        | None -> ())
-    | Chain_vc ->
-        ensure_chain t a;
-        (* Extend a's chain with b when a is still its tip. *)
-        if nb.chain = -1 && t.chain_tops.(na.chain) = a then begin
-          nb.chain <- na.chain;
-          nb.chain_idx <- na.chain_idx + 1;
-          t.chain_tops.(na.chain) <- b
-        end;
-        vc_propagate t na.vc ~chain:na.chain ~bound:(na.chain_idx + 1) b
+    propagate t a na.ancestors b
   end
-
-(* --- Queries -------------------------------------------------------------- *)
-
-let happens_before_dfs t a b =
-  (* Backward traversal from [b]: does any path reach [a]? Ids decrease
-     along pred edges, so nodes below [a] are pruned. *)
-  let visited = Wr_support.Bitset.create t.count in
-  let rec search stack =
-    match stack with
-    | [] -> false
-    | n :: rest ->
-        if n = a then true
-        else if n < a || Wr_support.Bitset.mem visited n then search rest
-        else begin
-          Wr_support.Bitset.add visited n;
-          search (List.rev_append t.nodes.(n).preds rest)
-        end
-  in
-  search [ b ]
 
 let happens_before t a b =
   if a = b then false
   else begin
-    let na = node t a and nb = node t b in
-    match t.strategy with
-    | Closure -> (
-        match nb.ancestors with
-        | Some anc -> Wr_support.Bitset.mem anc a
-        | None -> false)
-    | Chain_vc ->
-        na.chain >= 0
-        && Array.length nb.vc > na.chain
-        && nb.vc.(na.chain) >= na.chain_idx + 1
-    | Dfs -> happens_before_dfs t a b
+    ignore (node t a);
+    Wr_support.Bitset.mem (node t b).ancestors a
+  end
+
+(* The paper's query (§5.2.1): a backward traversal from [b] looking for a
+   path to [a]. Ids decrease along pred edges, so nodes below [a] are
+   pruned. *)
+let happens_before_dfs t a b =
+  if a = b then false
+  else begin
+    ignore (node t a);
+    ignore (node t b);
+    let visited = Wr_support.Bitset.create t.count in
+    let rec search = function
+      | [] -> false
+      | n :: rest ->
+          if n = a then true
+          else if n < a || Wr_support.Bitset.mem visited n then search rest
+          else begin
+            Wr_support.Bitset.add visited n;
+            search (List.rev_append t.nodes.(n).preds rest)
+          end
+    in
+    search [ b ]
   end
 
 let chc t a b = a <> b && (not (happens_before t a b)) && not (happens_before t b a)
@@ -215,8 +112,6 @@ let chc t a b = a <> b && (not (happens_before t a b)) && not (happens_before t 
 let preds t id = (node t id).preds
 
 let succs t id = (node t id).succs
-
-let n_chains t = t.chain_count
 
 let iter_ops f t =
   for i = 0 to t.count - 1 do

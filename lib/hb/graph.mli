@@ -5,22 +5,13 @@
     operations happen concurrently?" ({!chc}). The relation queried is the
     transitive closure of the added edges.
 
-    Three query strategies are provided:
-
-    - {!Dfs} answers each query with a backward graph traversal, mirroring
-      the paper's implementation ("repeated graph traversals contribute to
-      the high overhead", §5.2.1);
-    - {!Closure} maintains an incremental transitive-closure bitset per
-      operation: constant-time queries, quadratic bits of memory;
-    - {!Chain_vc} is the "more efficient vector-clock representation" the
-      paper plans (§5.2.1): operations are decomposed online into chains
-      (greedily extending a predecessor's chain), and each operation keeps
-      a clock mapping chains to the highest position that happens-before
-      it. Queries are one array lookup; memory is #ops x #chains, and
-      event-driven pages decompose into few chains.
-
-    All strategies are exact (a qcheck property asserts they agree); the
-    benchmark suite compares their cost.
+    Each operation keeps an incremental transitive-closure bitset of its
+    ancestors, updated as edges land, so {!happens_before} is one bit
+    lookup (quadratic bits of memory in the worst case). The paper answers
+    the same query by a backward graph traversal ("repeated graph
+    traversals contribute to the high overhead", §5.2.1); that traversal
+    survives as {!happens_before_dfs}, the reference the tests check the
+    closure against.
 
     The graph relies on edges being added in topological order: an edge
     [a -> b] may only be added while [b] has not yet finished being wired up
@@ -29,12 +20,8 @@
 
 type t
 
-type strategy = Dfs | Closure | Chain_vc
-
-(** [create ~strategy ()] returns an empty graph. *)
-val create : ?strategy:strategy -> unit -> t
-
-val strategy : t -> strategy
+(** [create ()] returns an empty graph. *)
+val create : unit -> t
 
 (** [fresh t kind ~label] registers a new operation and returns its id. *)
 val fresh : t -> Op.kind -> label:string -> Op.id
@@ -59,13 +46,15 @@ val add_edge : t -> Op.id -> Op.id -> unit
     (strict: [happens_before t a a = false]). *)
 val happens_before : t -> Op.id -> Op.id -> bool
 
+(** [happens_before_dfs t a b] answers the same query as
+    {!happens_before} by the paper's backward traversal from [b] (§5.2.1),
+    in time linear in the graph. It is the reference oracle for the
+    closure; production code queries {!happens_before}. *)
+val happens_before_dfs : t -> Op.id -> Op.id -> bool
+
 (** [chc t a b] — Can-Happen-Concurrently: [a <> b] and neither
     happens-before the other (paper §5.1). *)
 val chc : t -> Op.id -> Op.id -> bool
-
-(** [n_chains t] — chains created so far under {!Chain_vc} (0 for the
-    other strategies); diagnostics and benchmarks. *)
-val n_chains : t -> int
 
 (** [preds t id] / [succs t id] expose direct edges, for tests and
     diagnostics. *)

@@ -4,8 +4,7 @@ module Race = Wr_detect.Race
 
 let config_of_params ?(trace = false) ?telemetry (p : Request.analyze_params) =
   Webracer.config ~page:p.Request.page ~resources:p.Request.resources
-    ~seed:p.Request.seed ~explore:p.Request.explore ~detector:p.Request.detector
-    ~hb_strategy:p.Request.hb ~time_limit:p.Request.time_limit
+    ~seed:p.Request.seed ~explore:p.Request.explore ~time_limit:p.Request.time_limit
     ~dedup:p.Request.dedup ~trace ?telemetry ()
 
 let analyze ?trace ?telemetry p =

@@ -1,4 +1,3 @@
-module Config = Wr_browser.Config
 module Json = Wr_support.Json
 module Schema = Wr_support.Schema
 
@@ -7,8 +6,6 @@ type analyze_params = {
   resources : (string * string) list;
   seed : int;
   explore : bool;
-  detector : Config.detector_kind;
-  hb : Wr_hb.Graph.strategy;
   time_limit : float;
   dedup : bool;
 }
@@ -91,10 +88,8 @@ let make ?(schema = Schema.version) ?trace ~id verb =
 let building check v = try check v with Bad m -> invalid_arg m
 
 let analyze_params ~page ?(resources = []) ?(seed = 0) ?(explore = true)
-    ?(detector = Config.Last_access) ?(hb = Wr_hb.Graph.Closure)
     ?(time_limit = 60_000.) ?(dedup = true) () =
-  building check_analyze
-    { page; resources; seed; explore; detector; hb; time_limit; dedup }
+  building check_analyze { page; resources; seed; explore; time_limit; dedup }
 
 let analyze p = Analyze p
 
@@ -124,16 +119,6 @@ let verb_name = function
   | Predict _ -> "predict"
   | Triage _ -> "triage"
 
-let detector_names =
-  [ ("last-access", Config.Last_access); ("full-track", Config.Full_track);
-    ("none", Config.No_detector) ]
-
-let hb_names =
-  [ ("closure", Wr_hb.Graph.Closure); ("chain-vc", Wr_hb.Graph.Chain_vc);
-    ("dfs", Wr_hb.Graph.Dfs) ]
-
-let name_of assoc v = fst (List.find (fun (_, x) -> x = v) assoc)
-
 (* --- encoding ---------------------------------------------------------- *)
 
 let analyze_params_to_json p =
@@ -143,8 +128,6 @@ let analyze_params_to_json p =
       ("resources", Json.Obj (List.map (fun (u, b) -> (u, Json.String b)) p.resources));
       ("seed", Json.Int p.seed);
       ("explore", Json.Bool p.explore);
-      ("detector", Json.String (name_of detector_names p.detector));
-      ("hb", Json.String (name_of hb_names p.hb));
       ("time_limit", Json.Float p.time_limit);
       ("dedup", Json.Bool p.dedup);
     ]
@@ -256,15 +239,15 @@ let get_float name fields ~default =
   | Some (Json.Int i) -> float_of_int i
   | Some _ -> bad "%S must be a number" name
 
-let get_enum name assoc fields ~default =
+(* A field that once chose among engines: a value in [allowed] is
+   accepted and ignored, anything else is refused. *)
+let check_retired name allowed fields =
   match field name fields with
-  | None -> default
-  | Some (Json.String s) -> (
-      match List.assoc_opt s assoc with
-      | Some v -> v
-      | None ->
-          bad "%S must be one of %s" name
-            (String.concat ", " (List.map (fun (k, _) -> Printf.sprintf "%S" k) assoc)))
+  | None -> ()
+  | Some (Json.String s) when List.mem s allowed -> ()
+  | Some (Json.String _) ->
+      bad "%S must be %s" name
+        (String.concat " or " (List.map (Printf.sprintf "%S") allowed))
   | Some _ -> bad "%S must be a string" name
 
 let decode_analyze fields =
@@ -285,14 +268,17 @@ let decode_analyze fields =
           entries
     | Some _ -> bad "\"resources\" must be an object of url -> body"
   in
+  (* Every HB engine answered the same relation, so an old client's
+     "hb" choice changes nothing and is ignored. Another detector would
+     change the answer, so asking for one is refused. *)
+  check_retired "hb" [ "closure"; "chain-vc"; "dfs" ] fields;
+  check_retired "detector" [ "last-access" ] fields;
   check_analyze
     {
       page;
       resources;
       seed = get_int "seed" fields ~default:0;
       explore = get_bool "explore" fields ~default:true;
-      detector = get_enum "detector" detector_names fields ~default:Config.Last_access;
-      hb = get_enum "hb" hb_names fields ~default:Wr_hb.Graph.Closure;
       time_limit = get_float "time_limit" fields ~default:60_000.;
       dedup = get_bool "dedup" fields ~default:true;
     }

@@ -25,20 +25,18 @@
     lines, telemetry spans and latency histograms (the daemon mints an
     internal id when absent). *)
 
-module Config = Wr_browser.Config
-
 (** Parameters shared by every page-analyzing verb; the JSON shape
     mirrors the [webracer run] flags. Only [page] is required on the
-    wire. *)
+    wire. Two retired fields are still decoded: ["hb"] may name any of
+    the former engines (["closure"], ["chain-vc"], ["dfs"]) and is
+    ignored, since all answered the same relation; ["detector"] must be
+    ["last-access"], the only detector served. *)
 type analyze_params = {
   page : string;  (** HTML of the main page *)
   resources : (string * string) list;
       (** URL -> body, wire shape [{"url": "body", ...}] *)
   seed : int;
   explore : bool;
-  detector : Config.detector_kind;
-      (** ["last-access"] (default), ["full-track"] or ["none"] *)
-  hb : Wr_hb.Graph.strategy;  (** ["closure"] (default), ["chain-vc"], ["dfs"] *)
   time_limit : float;  (** virtual-ms horizon; servers may clamp it *)
   dedup : bool;
 }
@@ -117,8 +115,6 @@ val analyze_params :
   ?resources:(string * string) list ->
   ?seed:int ->
   ?explore:bool ->
-  ?detector:Config.detector_kind ->
-  ?hb:Wr_hb.Graph.strategy ->
   ?time_limit:float ->
   ?dedup:bool ->
   unit ->

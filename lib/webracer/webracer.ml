@@ -25,11 +25,9 @@ type report = {
   wall_clock_s : float;
   hb_graph : Wr_hb.Graph.t;
   trace : Wr_detect.Trace.t option;
-  metrics : Wr_support.Json.t option;
 }
 
 let config ~page ?(resources = []) ?(seed = 0) ?(explore = true)
-    ?(detector = Config.Last_access) ?(hb_strategy = Wr_hb.Graph.Closure)
     ?(time_limit = 60_000.) ?(mean_latency = 20.) ?(parse_delay = 0.) ?(trace = false)
     ?(dedup = true) ?(bias = Wr_scheduler.Event_loop.neutral)
     ?(telemetry = Telemetry.disabled) () =
@@ -38,8 +36,6 @@ let config ~page ?(resources = []) ?(seed = 0) ?(explore = true)
     Config.resources;
     seed;
     explore;
-    detector;
-    hb_strategy;
     time_limit;
     mean_latency;
     parse_delay;
@@ -145,7 +141,6 @@ let analyze (cfg : Config.t) =
         wall_clock_s = Wr_support.Clock.now () -. started;
         hb_graph = Browser.graph browser;
         trace = Browser.trace browser;
-        metrics = (if Telemetry.enabled tm then Some (Telemetry.metrics_json tm) else None);
       })
 
 type merged_report = {
@@ -371,7 +366,7 @@ let report_to_json r =
     Obj [ ("filter", String filter); ("race", Race.to_json race) ]
   in
   Obj
-    ([
+    [
       Wr_support.Schema.tag;
       ("races", List (List.map race_json r.races));
       ("filtered", List (List.map race_json r.filtered));
@@ -402,4 +397,3 @@ let report_to_json r =
       ("races_by_type", by_type_json r.races);
       ("filtered_by_type", by_type_json r.filtered);
     ]
-    @ (match r.metrics with None -> [] | Some m -> [ ("telemetry", m) ]))

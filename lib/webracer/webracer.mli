@@ -42,9 +42,6 @@ type report = {
           [Wr_hb.Graph.to_dot]) *)
   trace : Wr_detect.Trace.t option;
       (** the recorded execution trace when [config ~trace:true] *)
-  metrics : Wr_support.Json.t option;
-      (** telemetry metrics summary ([Wr_telemetry.Telemetry.metrics_json])
-          when [config ~telemetry] passed an enabled recorder *)
 }
 
 (** [config ~page ()] builds a configuration (see {!Config.default}).
@@ -55,8 +52,6 @@ val config :
   ?resources:(string * string) list ->
   ?seed:int ->
   ?explore:bool ->
-  ?detector:Config.detector_kind ->
-  ?hb_strategy:Wr_hb.Graph.strategy ->
   ?time_limit:float ->
   ?mean_latency:float ->
   ?parse_delay:float ->

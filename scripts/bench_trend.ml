@@ -3,7 +3,8 @@
    Reads a BENCH_results.json (written by `dune exec bench/main.exe`),
    appends it as one JSONL entry to a history file, and compares it
    against the most recent prior entry with the same tag, flagging
-   regressions direction-aware:
+   regressions direction-aware, and listing as [dropped] every metric the
+   baseline has that this run lacks:
 
    - names ending in [_speedup] or [_ratio], and [fidelity_sites], are
      higher-is-better;
@@ -291,7 +292,14 @@ let () =
         (List.length current) !tag !threshold;
       List.iter (print_delta "REGRESSED") (List.rev !regressions);
       List.iter (print_delta "improved") (List.rev !improvements);
-      if !regressions = [] && !improvements = [] then
+      (* A metric the baseline has and this run lacks was removed or
+         renamed: show it, so a deleted bench row never vanishes unseen. *)
+      let dropped = List.filter (fun (name, _) -> not (List.mem_assoc name current)) prev in
+      List.iter
+        (fun (name, before) ->
+          Printf.printf "  %-10s %-45s %12.4g -> (absent)\n" "dropped" name before)
+        dropped;
+      if !regressions = [] && !improvements = [] && dropped = [] then
         print_endline "  all metrics within threshold";
       if !check && !regressions <> [] then
         if history_depth >= !min_history then trend_failed := true

@@ -328,17 +328,24 @@ let test_determinism () =
   Alcotest.(check bool) "two runs identical" true (run () = run ())
 
 let test_detectors_agree_on_figures () =
-  let run detector =
-    let cfg =
-      Webracer.config ~page:fig3_page ~seed:3 ~explore:true ~detector ()
-    in
-    let r = Webracer.analyze cfg in
-    List.length
-      (List.filter (fun (x : Race.t) -> x.Race.race_type = Race.Html) r.Webracer.races)
+  (* One recorded run of Fig. 3, replayed through the paper's detector and
+     the full-history reference. *)
+  let r =
+    Webracer.analyze (Webracer.config ~page:fig3_page ~seed:3 ~explore:true ~trace:true ())
   in
+  let trace = Option.get r.Webracer.trace in
+  let html_races detector =
+    List.length
+      (List.filter
+         (fun (x : Race.t) -> x.Race.race_type = Race.Html)
+         (Wr_detect.Trace.replay trace ~detector))
+  in
+  Alcotest.(check int) "replay = live run"
+    (List.length (races_of_type Race.Html r))
+    (html_races Wr_detect.Last_access.create);
   Alcotest.(check int) "same html races"
-    (run Webracer.Config.Last_access)
-    (run Webracer.Config.Full_track)
+    (html_races Wr_detect.Last_access.create)
+    (html_races Wr_detect.Full_track.create)
 
 let test_script_inserted_external () =
   (* Script-inserted external scripts execute whenever fetched — they race
@@ -353,21 +360,49 @@ document.getElementById("container").appendChild(s);</script>
   let r = analyze ~resources:[ ("late.js", "x = 1;") ] page in
   Alcotest.(check int) "inserted script races" 1 (List.length (variable_races_on "x" r))
 
-let test_hb_strategies_agree_end_to_end () =
-  let run strategy =
-    let cfg =
-      Webracer.config ~page:fig1_page ~resources:fig1_resources ~seed:5
-        ~hb_strategy:strategy ()
+(* The closure answers exactly what the paper's traversal (§5.2.1) answers
+   on real page graphs: every ordered pair on small graphs, each op against
+   a seeded sample of partners on larger ones. *)
+let test_closure_matches_dfs_on_pages () =
+  let module Graph = Wr_hb.Graph in
+  let check name (r : Webracer.report) =
+    let g = r.Webracer.hb_graph in
+    let n = Graph.n_ops g in
+    let rng = Random.State.make [| n |] in
+    let partners () =
+      if n <= 400 then List.init n Fun.id
+      else List.init 32 (fun _ -> Random.State.int rng n)
     in
-    let r = Webracer.analyze cfg in
-    List.map
-      (fun (x : Race.t) -> (Race.type_name x.Race.race_type, Location.to_string x.Race.loc))
-      r.Webracer.races
+    for a = 0 to n - 1 do
+      List.iter
+        (fun b ->
+          List.iter
+            (fun (x, y) ->
+              if Graph.happens_before g x y <> Graph.happens_before_dfs g x y then
+                Alcotest.failf "%s: closure and dfs disagree on %d -> %d" name x y)
+            [ (a, b); (b, a) ])
+        (partners ())
+    done
   in
-  Alcotest.(check bool) "dfs = closure" true
-    (run Wr_hb.Graph.Dfs = run Wr_hb.Graph.Closure);
-  Alcotest.(check bool) "dfs = chain-vc" true
-    (run Wr_hb.Graph.Dfs = run Wr_hb.Graph.Chain_vc)
+  List.iter
+    (fun (name, page, resources) ->
+      check name (analyze ~explore:true ~resources ~seed:5 page))
+    [
+      ("fig1", fig1_page, fig1_resources);
+      ("fig2", fig2_page, []);
+      ("fig3", fig3_page, []);
+      ("fig4", fig4_page, [ ("sub.html", "<p>sub</p>") ]);
+      ("fig5", fig5_page, [ ("a.html", "<p>nested</p>") ]);
+    ];
+  List.iter
+    (fun (p : Wr_sitegen.Profile.t) ->
+      if List.mem p.Wr_sitegen.Profile.name [ "Allstate"; "Ford"; "Company01"; "Company50" ]
+      then
+        let site = Wr_sitegen.Gen.generate p in
+        check p.Wr_sitegen.Profile.name
+          (analyze ~explore:true ~resources:site.Wr_sitegen.Gen.resources ~seed:3
+             site.Wr_sitegen.Gen.page))
+    (Wr_sitegen.Profile.corpus ())
 
 let suite =
   [
@@ -395,5 +430,5 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "detectors agree" `Quick test_detectors_agree_on_figures;
     Alcotest.test_case "script-inserted external" `Quick test_script_inserted_external;
-    Alcotest.test_case "hb strategies agree" `Quick test_hb_strategies_agree_end_to_end;
+    Alcotest.test_case "closure = dfs on real pages" `Quick test_closure_matches_dfs_on_pages;
   ]

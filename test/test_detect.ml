@@ -6,8 +6,8 @@ open Wr_detect
 
 let var ?(name = "x") cell = Location.Js_var { cell; name }
 
-let setup ?(strategy = Graph.Closure) () =
-  let g = Graph.create ~strategy () in
+let setup () =
+  let g = Graph.create () in
   let d = Last_access.create g in
   (g, d)
 

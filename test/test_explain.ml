@@ -4,7 +4,7 @@
 
 open Wr_hb
 
-let mk () = Graph.create ~strategy:Graph.Closure ()
+let mk = Graph.create
 
 let op g label = Graph.fresh g Op.Script ~label
 

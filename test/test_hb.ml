@@ -2,7 +2,7 @@
 
 open Wr_hb
 
-let mk ?(strategy = Graph.Closure) () = Graph.create ~strategy ()
+let mk = Graph.create
 
 let op g label = Graph.fresh g Op.Script ~label
 
@@ -89,28 +89,22 @@ let random_dag_gen =
     list_size (int_bound (min m (3 * n))) (int_bound (max 0 (m - 1))) >>= fun picks ->
     return (n, List.map (List.nth all_pairs) picks))
 
-let build strategy (n, edges) =
-  let g = Graph.create ~strategy () in
+let build (n, edges) =
+  let g = Graph.create () in
   for i = 0 to n - 1 do
     ignore (Graph.fresh g Op.Script ~label:(string_of_int i))
   done;
   List.iter (fun (a, b) -> Graph.add_edge g a b) edges;
   g
 
-let prop_strategies_agree =
-  QCheck.Test.make ~name:"dfs, closure and chain-vc strategies agree" ~count:100
+let prop_closure_matches_dfs =
+  QCheck.Test.make ~name:"closure = dfs reference" ~count:100
     (QCheck.make random_dag_gen) (fun (n, edges) ->
-      let dfs = build Graph.Dfs (n, edges) in
-      let closure = build Graph.Closure (n, edges) in
-      let chain_vc = build Graph.Chain_vc (n, edges) in
+      let g = build (n, edges) in
       let ok = ref true in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
-          let reference = Graph.happens_before dfs a b in
-          if Graph.happens_before closure a b <> reference then ok := false;
-          if Graph.happens_before chain_vc a b <> reference then ok := false;
-          if Graph.chc closure a b <> Graph.chc dfs a b then ok := false;
-          if Graph.chc chain_vc a b <> Graph.chc dfs a b then ok := false
+          if Graph.happens_before g a b <> Graph.happens_before_dfs g a b then ok := false
         done
       done;
       !ok)
@@ -118,7 +112,7 @@ let prop_strategies_agree =
 let prop_chc_symmetric =
   QCheck.Test.make ~name:"chc is symmetric and irreflexive" ~count:100
     (QCheck.make random_dag_gen) (fun (n, edges) ->
-      let g = build Graph.Closure (n, edges) in
+      let g = build (n, edges) in
       let ok = ref true in
       for a = 0 to n - 1 do
         if Graph.chc g a a then ok := false;
@@ -131,7 +125,7 @@ let prop_chc_symmetric =
 let prop_hb_transitive =
   QCheck.Test.make ~name:"happens-before is transitive" ~count:60
     (QCheck.make random_dag_gen) (fun (n, edges) ->
-      let g = build Graph.Closure (n, edges) in
+      let g = build (n, edges) in
       let ok = ref true in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
@@ -143,30 +137,9 @@ let prop_hb_transitive =
       done;
       !ok)
 
-let test_chain_vc_chain_count () =
-  (* A pure chain stays one chain; a fan-out of k leaves needs k chains. *)
-  let g = Graph.create ~strategy:Graph.Chain_vc () in
-  let a = op g "a" in
-  let b = op g "b" in
-  let c = op g "c" in
-  Graph.add_edge g a b;
-  Graph.add_edge g b c;
-  Alcotest.(check bool) "a -> c" true (Graph.happens_before g a c);
-  Alcotest.(check int) "one chain for a path" 1 (Graph.n_chains g);
-  let g2 = Graph.create ~strategy:Graph.Chain_vc () in
-  let root = op g2 "root" in
-  let leaves = List.init 4 (fun i -> op g2 (Printf.sprintf "leaf%d" i)) in
-  List.iter (fun l -> Graph.add_edge g2 root l) leaves;
-  List.iter
-    (fun l -> Alcotest.(check bool) "root -> leaf" true (Graph.happens_before g2 root l))
-    leaves;
-  Alcotest.(check bool) "leaves concurrent" true
-    (Graph.chc g2 (List.nth leaves 0) (List.nth leaves 3))
-
 let suite =
   [
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
-    Alcotest.test_case "chain-vc chains" `Quick test_chain_vc_chain_count;
     Alcotest.test_case "direct edge" `Quick test_direct_edge;
     Alcotest.test_case "transitivity" `Quick test_transitivity;
     Alcotest.test_case "diamond" `Quick test_diamond;
@@ -174,7 +147,7 @@ let suite =
     Alcotest.test_case "bad edges rejected" `Quick test_self_and_backward_edges_rejected;
     Alcotest.test_case "duplicate edges" `Quick test_duplicate_edges_ignored;
     Alcotest.test_case "op info" `Quick test_info;
-    QCheck_alcotest.to_alcotest prop_strategies_agree;
+    QCheck_alcotest.to_alcotest prop_closure_matches_dfs;
     QCheck_alcotest.to_alcotest prop_chc_symmetric;
     QCheck_alcotest.to_alcotest prop_hb_transitive;
   ]

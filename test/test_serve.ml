@@ -44,8 +44,7 @@ let test_request_analyze_roundtrip () =
   let params =
     Request.analyze_params ~page:"<p>hi</p>"
       ~resources:[ ("a.js", "var x = 1;") ]
-      ~seed:9 ~explore:false ~detector:Webracer.Config.Full_track
-      ~hb:Wr_hb.Graph.Dfs ~time_limit:1234. ~dedup:false ()
+      ~seed:9 ~explore:false ~time_limit:1234. ~dedup:false ()
   in
   let req = (Request.make ?trace:(None) ~id:(Json.String "abc") (Request.Analyze params)) in
   match (decode_ok (Request.to_line req)).Request.verb with
@@ -54,8 +53,6 @@ let test_request_analyze_roundtrip () =
       check bool_c "resources" true (p.Request.resources = [ ("a.js", "var x = 1;") ]);
       check int_c "seed" 9 p.Request.seed;
       check bool_c "explore" false p.Request.explore;
-      check bool_c "detector" true (p.Request.detector = Webracer.Config.Full_track);
-      check bool_c "hb" true (p.Request.hb = Wr_hb.Graph.Dfs);
       check bool_c "time_limit" true (p.Request.time_limit = 1234.);
       check bool_c "dedup" false p.Request.dedup
   | _ -> Alcotest.fail "expected analyze"
@@ -67,7 +64,6 @@ let test_request_defaults () =
       check int_c "seed" 0 p.Request.seed;
       check bool_c "explore" true p.Request.explore;
       check bool_c "dedup" true p.Request.dedup;
-      check bool_c "detector" true (p.Request.detector = Webracer.Config.Last_access);
       check bool_c "time_limit" true (p.Request.time_limit = 60_000.)
   | _ -> Alcotest.fail "expected analyze"
 
@@ -111,6 +107,110 @@ let test_request_validation () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "explicit current version accepted")
 
+(* The retired engine fields: "hb" names any former engine and changes
+   nothing; "detector" other than the served one is refused. *)
+let test_request_retired_fields () =
+  let line extra = Printf.sprintf {|{"id":1,"verb":"analyze","params":{"page":"<p>x</p>"%s}}|} extra in
+  let plain = decode_ok (line "") in
+  List.iter
+    (fun hb ->
+      check bool_c ("hb " ^ hb ^ " ignored") true
+        (decode_ok (line (Printf.sprintf {|,"hb":%S|} hb)) = plain))
+    [ "closure"; "chain-vc"; "dfs" ];
+  check bool_c "detector last-access accepted" true
+    (decode_ok (line {|,"detector":"last-access"|}) = plain);
+  List.iter
+    (fun extra ->
+      let id, msg = decode_err (line extra) in
+      check bool_c (extra ^ " refused with its id") true (id = Json.Int 1);
+      check bool_c (extra ^ " names the field") true
+        (mentions "hb" msg || mentions "detector" msg))
+    [ {|,"detector":"full-track"|}; {|,"detector":"none"|}; {|,"detector":7|};
+      {|,"hb":"sparse"|}; {|,"hb":null|} ]
+
+(* [Request.of_line] is total: any line decodes to [Ok] or [Error] and
+   never raises, whether it is noise or a valid request with one field
+   replaced by an arbitrary value. *)
+let gen_json_value =
+  QCheck.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) (oneof [ small_signed_int; int ]);
+                 map (fun f -> Json.Float f) float;
+                 map (fun s -> Json.String s)
+                   (oneof
+                      [
+                        oneofl
+                          [ "closure"; "chain-vc"; "dfs"; "last-access"; "full-track";
+                            "none"; ""; "analyze"; "<p>x</p>" ];
+                        string_size ~gen:printable (int_bound 8);
+                      ]);
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun l -> Json.List l) (list_size (int_bound 3) (self (depth - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 3)
+                        (pair (oneofl [ "page"; "seed"; "a.js"; "x" ]) (self (depth - 1)))) );
+               ]))
+
+let gen_mutated_request =
+  QCheck.Gen.(
+    let params =
+      [ ("page", Json.String "<script>x = 1;</script>");
+        ("resources", Json.Obj [ ("a.js", Json.String "y = 2;") ]);
+        ("seed", Json.Int 3); ("explore", Json.Bool false); ("time_limit", Json.Float 500.);
+        ("dedup", Json.Bool true); ("hb", Json.String "dfs");
+        ("detector", Json.String "last-access"); ("race", Json.Int 1);
+        ("schedules", Json.Int 2); ("budget", Json.Int 2); ("count", Json.Int 1) ]
+    in
+    let verb =
+      oneofl [ "ping"; "stats"; "analyze"; "explain"; "replay"; "predict"; "triage"; "watch";
+               "nope" ]
+    in
+    let mutate fields =
+      list_size (int_range 1 3)
+        (pair (oneofl (List.map fst fields @ [ "hb"; "detector"; "extra" ])) gen_json_value)
+      >|= List.fold_left
+            (fun acc (k, v) -> (k, v) :: List.remove_assoc k acc)
+            fields
+    in
+    verb >>= fun verb ->
+    mutate params >>= fun params ->
+    mutate
+      [ ("schema_version", Json.Int 1); ("id", Json.Int 9); ("verb", Json.String verb);
+        ("params", Json.Obj params) ]
+    >|= fun top -> Json.to_string (Json.Obj top))
+
+let decodes_totally line =
+  match Request.of_line line with Ok _ | Error _ -> true | exception _ -> false
+
+let prop_of_line_total_bytes =
+  QCheck.Test.make ~name:"of_line total on bytes" ~count:2000
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(
+          string_size
+            ~gen:(frequency [ (1, char); (3, oneofl (List.of_seq (String.to_seq {|{}[]":,-.0e9 tfnul\|}))) ])
+            (int_bound 48)))
+    decodes_totally
+
+let prop_of_line_total_mutated =
+  QCheck.Test.make ~name:"of_line total on mutated lines" ~count:2000
+    (QCheck.make ~print:Fun.id gen_mutated_request)
+    decodes_totally
+
 (* --- Response ---------------------------------------------------------- *)
 
 let test_response_roundtrip () =
@@ -152,8 +252,6 @@ let test_cache_key () =
       { p with Request.seed = 1 };
       { p with Request.resources = [ ("a.js", "1") ] };
       { p with Request.explore = false };
-      { p with Request.detector = Webracer.Config.Full_track };
-      { p with Request.hb = Wr_hb.Graph.Dfs };
       { p with Request.time_limit = 1. };
       { p with Request.dedup = false };
     ]
@@ -302,6 +400,23 @@ let test_daemon_end_to_end () =
       (match Client.request c (Request.make ?trace:(None) ~id:(Json.Int 1) (Request.Ping)) with
       | Ok (Response.Ok _) -> ()
       | _ -> Alcotest.fail "connection must survive a bad request");
+      (* the retired "hb" field is ignored; a detector other than the
+         served one answers bad_request instead of a different verdict *)
+      let line extra =
+        Printf.sprintf
+          {|{"id":7,"verb":"analyze","params":{"page":"<script>var x = 1;</script>","seed":5%s}}|}
+          extra
+      in
+      Client.send_line c (line {|,"hb":"dfs"|});
+      (match Client.recv c with
+      | Ok (Response.Ok { result; _ }) ->
+          check bool_c "hb ignored" true (Json.member "ops" result = Json.member "ops" direct)
+      | _ -> Alcotest.fail "a request naming an old hb engine must be served");
+      Client.send_line c (line {|,"detector":"full-track"|});
+      (match Client.recv c with
+      | Ok (Response.Error { code = Response.Bad_request; id; _ }) ->
+          check bool_c "id echoed on refusal" true (id = Json.Int 7)
+      | _ -> Alcotest.fail "a full-track request must answer bad_request");
       Client.close c)
 
 let test_daemon_overload () =
@@ -476,6 +591,9 @@ let suite =
     Alcotest.test_case "request: replay/explain round-trip" `Quick
       test_request_replay_explain_roundtrip;
     Alcotest.test_case "request: validation errors" `Quick test_request_validation;
+    Alcotest.test_case "request: retired hb/detector" `Quick test_request_retired_fields;
+    QCheck_alcotest.to_alcotest prop_of_line_total_bytes;
+    QCheck_alcotest.to_alcotest prop_of_line_total_mutated;
     Alcotest.test_case "response: round-trip" `Quick test_response_roundtrip;
     Alcotest.test_case "response: error taxonomy" `Quick test_error_codes;
     Alcotest.test_case "cache: key covers the whole config" `Quick test_cache_key;
