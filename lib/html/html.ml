@@ -290,6 +290,7 @@ type frame = { f_tag : string; f_attrs : attr list; mutable f_children : node li
 let tree_build tokens =
   let root = { f_tag = "#root"; f_attrs = []; f_children = [] } in
   let stack = ref [ root ] in
+  let depth = ref 1 in  (* List.length !stack *)
   let top () = List.hd !stack in
   let add_child node =
     let t = top () in
@@ -299,6 +300,7 @@ let tree_build tokens =
     match !stack with
     | f :: (parent :: _ as rest) ->
         stack := rest;
+        decr depth;
         parent.f_children <-
           Element { tag = f.f_tag; attrs = f.f_attrs; children = List.rev f.f_children }
           :: parent.f_children
@@ -310,7 +312,10 @@ let tree_build tokens =
     | T_open (tag, attrs, self_closing) ->
         if self_closing || is_void tag then
           add_child (Element { tag; attrs; children = [] })
-        else stack := { f_tag = tag; f_attrs = attrs; f_children = [] } :: !stack
+        else begin
+          stack := { f_tag = tag; f_attrs = attrs; f_children = [] } :: !stack;
+          incr depth
+        end
     | T_close tag ->
         (* Close the matching open element if any; otherwise ignore. *)
         if List.exists (fun f -> f.f_tag = tag) !stack then begin
@@ -319,11 +324,11 @@ let tree_build tokens =
             close_frame ();
             if was <> tag then pop ()
           in
-          if List.length !stack > 1 then pop ()
+          if !depth > 1 then pop ()
         end
   in
   List.iter handle tokens;
-  while List.length !stack > 1 do
+  while !depth > 1 do
     close_frame ()
   done;
   List.rev root.f_children

@@ -65,7 +65,7 @@ type t = {
   docs : int;
   duplicate_ids : (int * string * int) list;
   missing_handler_ids : (int * string * string * string) list;
-  anc : Bitset.t array;
+  desc : Bitset.t array;
 }
 
 (* --- static DOM ----------------------------------------------------- *)
@@ -667,19 +667,23 @@ let make_dispatch_units b =
 (* --- MHP closure ------------------------------------------------------ *)
 
 (* Units are created in topological order (every pred has a smaller uid),
-   so ancestor bitsets close in one forward pass. *)
-let close_ancestors units =
+   so descendant bitsets close in one reverse pass over the successor
+   lists, and [desc.(i)] holds only uids above [i]. *)
+let close_descendants units =
   let n = Array.length units in
-  let anc = Array.init n (fun _ -> Bitset.create n) in
+  let succs = Array.make n [] in
   Array.iter
-    (fun u ->
-      List.iter
-        (fun p ->
-          Bitset.add anc.(u.uid) p;
-          Bitset.union_into ~into:anc.(u.uid) anc.(p))
-        u.preds)
+    (fun u -> List.iter (fun p -> succs.(p) <- u.uid :: succs.(p)) u.preds)
     units;
-  anc
+  let desc = Array.init n (fun _ -> Bitset.create n) in
+  for i = n - 1 downto 0 do
+    List.iter
+      (fun s ->
+        Bitset.add desc.(i) s;
+        Bitset.union_into ~into:desc.(i) desc.(s))
+      succs.(i)
+  done;
+  desc
 
 (* --- entry point ------------------------------------------------------ *)
 
@@ -706,9 +710,9 @@ let build ?(tm = Telemetry.disabled) ~page ~resources () =
       analyze_code b;
       make_dispatch_units b);
   let units = Array.of_list (List.rev b.vunits) in
-  let anc =
+  let desc =
     Telemetry.with_span tm ~cat:"static" ~name:"static.mhp" (fun () ->
-        close_ancestors units)
+        close_descendants units)
   in
   let duplicate_ids =
     Hashtbl.fold
@@ -724,22 +728,20 @@ let build ?(tm = Telemetry.disabled) ~page ~resources () =
     docs = b.next_doc;
     duplicate_ids;
     missing_handler_ids = List.sort_uniq compare b.missing;
-    anc;
+    desc;
   }
 
-let happens_before t a b = a <> b && Bitset.mem t.anc.(b) a
+let happens_before t a b = a <> b && Bitset.mem t.desc.(a) b
 
+(* No unit reaches a smaller uid, so for [i < j] the pair is MHP exactly
+   when [j] is missing from [desc.(i)]. *)
 let mhp t a b =
-  a <> b
-  && (not (Bitset.mem t.anc.(b) a))
-  && not (Bitset.mem t.anc.(a) b)
+  if a < b then not (Bitset.mem t.desc.(a) b)
+  else b < a && not (Bitset.mem t.desc.(b) a)
+
+let iter_mhp_after t i f =
+  Bitset.iter_absent f t.desc.(i) ~lo:(i + 1) ~hi:(Array.length t.units)
 
 let mhp_pairs t =
   let n = Array.length t.units in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if mhp t i j then incr count
-    done
-  done;
-  !count
+  Array.fold_left (fun pairs d -> pairs - Bitset.cardinal d) (n * (n - 1) / 2) t.desc

@@ -37,7 +37,8 @@ type t = {
   missing_handler_ids : (int * string * string * string) list;
       (** (doc, id, event, registering unit label): handler registered on
           an id absent from the static DOM *)
-  anc : Wr_support.Bitset.t array;  (** transitive HB ancestors per unit *)
+  desc : Wr_support.Bitset.t array;
+      (** transitive HB descendants per unit: every unit it reaches *)
 }
 
 (** [build ~page ~resources ()] parses [page] (iframe/script/img sources
@@ -51,10 +52,17 @@ val build :
   unit ->
   t
 
+(** [happens_before t a b] — [a] reaches [b]. *)
 val happens_before : t -> int -> int -> bool
 
 (** [mhp t a b] — neither unit reaches the other. *)
 val mhp : t -> int -> int -> bool
 
-(** [mhp_pairs t] counts unordered MHP unit pairs. *)
+(** [iter_mhp_after t i f] calls [f] on each unit [j > i] that is MHP
+    with [i], in increasing order. Costs O(units / 64) plus one call per
+    MHP pair. *)
+val iter_mhp_after : t -> int -> (int -> unit) -> unit
+
+(** [mhp_pairs t] counts unordered MHP unit pairs: every pair minus the
+    ordered ones, counted by popcount over the descendant sets. *)
 val mhp_pairs : t -> int

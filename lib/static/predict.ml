@@ -59,8 +59,7 @@ let find_conflicts (m : Model.t) =
   let out = ref [] in
   let n = Array.length m.units in
   for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Model.mhp m i j then
+    Model.iter_mhp_after m i (fun j ->
         List.iter
           (fun (e1 : Effects.eff) ->
             List.iter
@@ -77,8 +76,7 @@ let find_conflicts (m : Model.t) =
                     }
                     :: !out)
               m.units.(j).effs)
-          m.units.(i).effs
-    done
+          m.units.(i).effs)
   done;
   List.rev !out
 

@@ -41,6 +41,12 @@ val predict :
   unit ->
   result
 
+(** [find_conflicts m] — every conflicting effect pair of every MHP unit
+    pair [(i, j)], [i < j], before deduplication: ordered by [i], then
+    [j], then [i]'s effects, then [j]'s effects. [predict] deduplicates
+    this list. *)
+val find_conflicts : Model.t -> prediction list
+
 (** [count_by_type preds] tallies (html, function, variable, dispatch). *)
 val count_by_type : prediction list -> int * int * int * int
 

@@ -1,8 +1,16 @@
 (** Growable dense bitsets over non-negative integers.
 
-    Backing store for the incremental transitive-closure reachability engine
-    in [Wr_hb]: each operation's ancestor set is a bitset indexed by
-    operation id. *)
+    Members live in 64-bit words: a [Bytes.t] padded to a multiple of 8,
+    byte [b] holding members [8b .. 8b+7]. Single-member operations touch
+    one byte; [union_into], [cardinal] and [iter_absent] work a whole
+    little-endian word at a time, so they cost O(capacity / 64).
+
+    Two users:
+    - the incremental transitive-closure HB engine in [Wr_hb.Graph]: each
+      operation's ancestor set, indexed by operation id;
+    - the static MHP relation in [Wr_static.Model]: each code unit's
+      descendant set, indexed by unit id, whose absent members after the
+      unit are exactly the units that may happen in parallel with it. *)
 
 type t
 
@@ -27,6 +35,11 @@ val cardinal : t -> int
 
 (** [iter f t] applies [f] to each member in increasing order. *)
 val iter : (int -> unit) -> t -> unit
+
+(** [iter_absent f t ~lo ~hi] applies [f] to each non-member of [\[lo, hi)]
+    in increasing order (negative integers are skipped, integers beyond
+    the capacity are absent). Words with every bit set are skipped whole. *)
+val iter_absent : (int -> unit) -> t -> lo:int -> hi:int -> unit
 
 (** [copy t] is an independent copy. *)
 val copy : t -> t

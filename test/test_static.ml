@@ -430,6 +430,158 @@ let test_lint_write_only_global () =
   in
   check_eff "write-only global reported" wo
 
+(* ------------------------------------------------------------------ *)
+(* Brute-force MHP oracle                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The all-pairs reference for the static MHP relation, kept test-only
+   the way [Graph.happens_before_dfs] is kept for the HB closure: a
+   forward ancestor closure over one byte per unit pair, then a scan of
+   every pair. Row [i] of [anc] marks the units reaching [i]; its
+   transpose [desc] marks those [i] reaches, so each pair scan reads
+   rows only. *)
+type oracle = { anc : Bytes.t array; desc : Bytes.t array }
+
+let oracle_closure (m : Model.t) =
+  let n = Array.length m.Model.units in
+  let anc = Array.init n (fun _ -> Bytes.make n '\000') in
+  Array.iter
+    (fun (u : Model.unit_) ->
+      let row = anc.(u.Model.uid) in
+      List.iter
+        (fun p ->
+          let src = anc.(p) in
+          Bytes.set row p '\001';
+          for k = 0 to p - 1 do
+            if Bytes.get src k <> '\000' then Bytes.set row k '\001'
+          done)
+        u.Model.preds)
+    m.Model.units;
+  let desc = Array.init n (fun _ -> Bytes.make n '\000') in
+  Array.iteri
+    (fun b row ->
+      for a = 0 to n - 1 do
+        if Bytes.get row a <> '\000' then Bytes.set desc.(a) b '\001'
+      done)
+    anc;
+  { anc; desc }
+
+(* [reaches o a b]: [a] reaches [b]; [reached_by o a b]: [b] reaches [a]. *)
+let reaches o a b = Bytes.get o.desc.(a) b <> '\000'
+
+let reached_by o a b = Bytes.get o.anc.(a) b <> '\000'
+
+let oracle_mhp o a b = a <> b && (not (reaches o a b)) && not (reached_by o a b)
+
+(* The old pair loop of [Predict.find_conflicts]: the MHP pair count and
+   every conflict as (i, j, e1, e2). *)
+let oracle_scan (m : Model.t) o =
+  let out = ref [] and pairs = ref 0 in
+  let n = Array.length m.Model.units in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if oracle_mhp o i j then begin
+        incr pairs;
+        List.iter
+          (fun e1 ->
+            List.iter
+              (fun e2 -> if E.conflicts e1 e2 then out := (i, j, e1, e2) :: !out)
+              m.Model.units.(j).Model.effs)
+          m.Model.units.(i).Model.effs
+      end
+    done
+  done;
+  (!pairs, List.rev !out)
+
+let words = [| "item"; "entry"; "row"; "cell" |]
+
+(* [n] sibling divs, every fifth with an inline click handler bumping a
+   shared global (handler, dispatch and parse units MHP across word
+   edges), and a polling timer. *)
+let wide_page n =
+  let b = Buffer.create (n * 48) in
+  for i = 0 to n - 1 do
+    Printf.bprintf b "<div id=\"item%d\" class=\"%s\"%s>%d</div>" i
+      words.(i mod 4)
+      (if i mod 5 = 0 then Printf.sprintf " onclick=\"hits = hits + %d\"" i else "")
+      i
+  done;
+  Buffer.add_string b
+    "<script>var hits = 0; var t = setInterval(function () { hits++; if (hits > 20) { clearInterval(t); } }, 5);</script>";
+  Buffer.contents b
+
+(* [n] nested divs, every seventh an image whose load event races. *)
+let deep_page n =
+  let b = Buffer.create (n * 40) in
+  for i = 1 to n do
+    Printf.bprintf b "<div id=\"d%d\" class=\"%s\">" i words.(i mod 4);
+    if i mod 7 = 0 then Printf.bprintf b "<img id=\"img%d\" src=\"missing%d.png\">" i i
+  done;
+  Buffer.add_string b
+    "<script>document.getElementById(\"img7\").onerror = function () { seen = 1; };</script>";
+  for _ = 1 to n do
+    Buffer.add_string b "</div>"
+  done;
+  Buffer.contents b
+
+let generated_pages =
+  List.concat_map
+    (fun n ->
+      [ (Printf.sprintf "wide-%d" n, wide_page n, []); (Printf.sprintf "deep-%d" n, deep_page n, []) ])
+    [ 1; 63; 64; 65; 300 ]
+
+(* [predict] keeps the first conflict per (type, location) of
+   [find_conflicts], so an equal raw list in equal order means equal
+   predictions. *)
+let test_predict_matches_oracle () =
+  List.iter
+    (fun (name, page, resources) ->
+      let m = Model.build ~page ~resources () in
+      let pairs, conflicts = oracle_scan m (oracle_closure m) in
+      Alcotest.(check int) (name ^ ": mhp_pairs") pairs (Model.mhp_pairs m);
+      let raw =
+        List.map
+          (fun (p : Predict.prediction) ->
+            (p.Predict.first_unit, p.Predict.second_unit, p.Predict.first_eff,
+             p.Predict.second_eff))
+          (Predict.find_conflicts m)
+      in
+      if raw <> conflicts then Alcotest.failf "%s: conflicts differ from the all-pairs scan" name)
+    (List.map
+       (fun p ->
+         let site = Wr_sitegen.Gen.generate p in
+         (p.Wr_sitegen.Profile.name, site.Wr_sitegen.Gen.page, site.Wr_sitegen.Gen.resources))
+       (Wr_sitegen.Profile.corpus ())
+    @ List.map
+        (fun (s : Wr_sitegen.Adversarial.scenario) -> (s.name, s.page, s.resources))
+        (Wr_sitegen.Adversarial.pack ())
+    @ generated_pages)
+
+let test_mhp_queries_match_oracle () =
+  List.iter
+    (fun (name, page, resources) ->
+      let m = Model.build ~page ~resources () in
+      let o = oracle_closure m in
+      let n = Array.length m.Model.units in
+      for i = 0 to n - 1 do
+        let seen = ref [] in
+        Model.iter_mhp_after m i (fun j -> seen := j :: !seen);
+        let expect = ref [] in
+        for j = n - 1 downto i + 1 do
+          let par = oracle_mhp o i j in
+          if par then expect := j :: !expect;
+          if Model.mhp m i j <> par || Model.mhp m j i <> par then
+            Alcotest.failf "%s: mhp %d %d differs from the oracle" name i j;
+          if
+            Model.happens_before m i j <> reaches o i j
+            || Model.happens_before m j i <> reached_by o i j
+          then Alcotest.failf "%s: happens_before %d %d differs from the oracle" name i j
+        done;
+        if List.rev !seen <> !expect then
+          Alcotest.failf "%s: iter_mhp_after %d differs from pairwise mhp" name i
+      done)
+    generated_pages
+
 let suite =
   [
     Alcotest.test_case "effects: global read/write" `Quick test_global_read_write;
@@ -469,4 +621,7 @@ let suite =
     Alcotest.test_case "lint: duplicate ids" `Quick test_lint_duplicate_ids;
     Alcotest.test_case "lint: handler on missing id" `Quick test_lint_handler_on_missing_id;
     Alcotest.test_case "lint: write-only global" `Quick test_lint_write_only_global;
+    Alcotest.test_case "oracle: predict = all-pairs scan" `Quick test_predict_matches_oracle;
+    Alcotest.test_case "oracle: mhp queries = all-pairs scan" `Quick
+      test_mhp_queries_match_oracle;
   ]
